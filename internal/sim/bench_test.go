@@ -31,8 +31,50 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 }
 
+// mixPending is the standing event count of a spread GUPS run.
+const mixPending = 730
+
+// newDelayMix schedules n self-rescheduling actors on eng whose delays
+// follow the shape measured on a spread GUPS run: ~82% of reschedules
+// are 0.25–65 ns and the rest a 0.26–4 µs tail. The tail holds most of
+// the pending events, so the heap stays populated and the near ring
+// sparse, as in the full simulator. Each actor draws from a
+// deterministic LCG and reschedules through a pre-bound Timer, so the
+// model itself never allocates after construction.
+func newDelayMix(eng *Engine, n int) {
+	state := uint64(1)
+	draw := func() Time {
+		state = state*6364136223846793005 + 1442695040888963407
+		r := state >> 33
+		if r%100 < 82 {
+			return 250 + Time(r%64_750)
+		}
+		return 262_000 + Time(r%3_738_000)
+	}
+	for i := 0; i < n; i++ {
+		var t *Timer
+		t = eng.NewTimer(func() { t.After(draw()) })
+		t.After(draw())
+	}
+}
+
+// BenchmarkEngineScheduleFireMix measures one fire + one reschedule at
+// the measured delay mix and standing queue size, where the monotone
+// delays of BenchmarkEngineScheduleFire never exercise sift-up or the
+// near ring's sorted insert.
+func BenchmarkEngineScheduleFireMix(b *testing.B) {
+	eng := NewEngine()
+	newDelayMix(eng, mixPending)
+	eng.Run(20 * Microsecond) // ~150 laps of the ring; the heap reaches its working size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 // BenchmarkEngineTimerTick measures a self-rescheduling Timer, the
-// pattern the host ports use for their clock ticks: one heap push and
+// pattern the host ports use for their clock ticks: one queue push and
 // one fire per tick, no closure per wakeup.
 func BenchmarkEngineTimerTick(b *testing.B) {
 	eng := NewEngine()

@@ -83,6 +83,73 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestEnginePendingAcrossTiers checks that Pending counts both tiers of
+// the queue: it must equal scheduled minus fired whether the events sit
+// in the near ring, the far heap, or both.
+func TestEnginePendingAcrossTiers(t *testing.T) {
+	cases := []struct {
+		name       string
+		delays     []Time
+		near, far  bool
+		fireBefore Time
+	}{
+		{"near only", []Time{0, 1, 511, 512, 40 * Nanosecond, nearHorizon - 1}, true, false, 600},
+		{"far only", []Time{nearHorizon, nearHorizon + 1, 3 * Microsecond, Millisecond}, false, true, 2 * Microsecond},
+		{"mixed", []Time{0, 700, nearHorizon - 1, nearHorizon, 4 * Microsecond, 9 * Microsecond}, true, true, 5 * Microsecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			fired := 0
+			for _, d := range tc.delays {
+				e.Schedule(d, func() { fired++ })
+			}
+			if (e.nearN > 0) != tc.near || (len(e.pq) > 0) != tc.far {
+				t.Fatalf("tiers: near=%d far=%d, want near=%v far=%v", e.nearN, len(e.pq), tc.near, tc.far)
+			}
+			if got := e.Pending(); got != len(tc.delays) {
+				t.Fatalf("Pending() = %d before any firing, want %d", got, len(tc.delays))
+			}
+			e.Run(tc.fireBefore)
+			if fired == 0 || fired == len(tc.delays) {
+				t.Fatalf("Run(%v) fired %d of %d; the case should fire some but not all", tc.fireBefore, fired, len(tc.delays))
+			}
+			if got := e.Pending(); got != len(tc.delays)-fired {
+				t.Fatalf("Pending() = %d after %d of %d fired", got, fired, len(tc.delays))
+			}
+			e.Drain()
+			if got := e.Pending(); got != 0 || fired != len(tc.delays) {
+				t.Fatalf("after Drain: Pending() = %d, fired %d of %d", got, fired, len(tc.delays))
+			}
+		})
+	}
+}
+
+// TestEngineSteadyStateDoesNotAllocate pins the serial kernel's
+// allocation contract at the measured delay mix and queue size: once
+// the near ring has lapped many times and the heap has reached its
+// working size, scheduling and firing allocate nothing. Near buckets
+// that grew lazily would fail this, allocating once per bucket as the
+// ring laps.
+func TestEngineSteadyStateDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	newDelayMix(e, mixPending)
+	e.Run(20 * Microsecond) // ~150 laps of the ring
+	if p := e.Pending(); p != mixPending || e.nearN == 0 || len(e.pq) == 0 {
+		t.Fatalf("pending %d (near %d, far %d); want %d across both tiers", p, e.nearN, len(e.pq), mixPending)
+	}
+	start := e.Fired()
+	allocs := testing.AllocsPerRun(20, func() {
+		e.Run(e.Now() + 10*Microsecond)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Run: %.1f allocs per 10 µs window, want 0", allocs)
+	}
+	if fired := e.Fired() - start; fired < 100_000 {
+		t.Fatalf("measured only %d events", fired)
+	}
+}
+
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10*Nanosecond, func() {

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// maxTime is the far-future sentinel used by the group scheduler. It is
-// comfortably beyond any reachable simulation timestamp while leaving
-// headroom to add a window without overflow.
+// maxTime is the far-future sentinel used by Step and the group
+// scheduler. It is comfortably beyond any reachable simulation
+// timestamp while leaving headroom to add a window without overflow.
 const maxTime = Time(1) << 62
 
 // MaxShards bounds the number of shards a Group may have. The model
@@ -53,7 +53,7 @@ func ShardBarrierNanos() [MaxShards]int64 {
 }
 
 // crossEvent is an event in flight between shards: the (at, key, fn)
-// triple destined for another shard's heap.
+// triple destined for another shard's event queue.
 type crossEvent struct {
 	at  Time
 	key uint64
@@ -65,7 +65,7 @@ type crossEvent struct {
 // the minimum cross-shard channel latency (registered via
 // ObserveLookahead), then all shards meet at a barrier. Cross-shard
 // events travel through single-producer/single-consumer mailboxes and
-// are merged into the destination heap at the barrier, at least one
+// are merged into the destination queue at the barrier, at least one
 // full window before they fire, so every shard sees exactly the event
 // order the serial engine would have produced.
 //
@@ -88,7 +88,7 @@ type Group struct {
 	par   []int
 
 	// Barrier state. mins[i] is shard i's published safe-time bound:
-	// min(its heap head, the earliest cross-shard event it posted this
+	// min(its queue head, the earliest cross-shard event it posted this
 	// window). The last arriver folds them into the global minimum.
 	arrived atomic.Int32
 	sense   atomic.Uint32
@@ -237,11 +237,11 @@ func (g *Group) run(hub *Engine, until Time, drain bool) Time {
 	}
 
 	// Pre-window check, still single-threaded: mailboxes are empty
-	// between runs, so the global minimum is over heap heads alone.
+	// between runs, so the global minimum is over queue heads alone.
 	m := maxTime
 	for _, e := range g.engines {
-		if len(e.pq) > 0 && e.pq[0].at < m {
-			m = e.pq[0].at
+		if next, _ := e.peek(); next != nil && next.at < m {
+			m = next.at
 		}
 	}
 	if drain {
@@ -339,13 +339,17 @@ func (g *Group) shardLoop(i int) {
 	parity := g.par[i]
 	sense := uint32(0)
 	for {
-		wEnd := g.next
+		// The window runs events before its end (exclusive) and not
+		// after until: through last, inclusive.
+		last := g.next - 1
+		if until < last {
+			last = until
+		}
 		e.outMin = maxTime
 		nf := e.nfired
-		if len(e.pq) > 0 && e.pq[0].at < wEnd && e.pq[0].at <= until {
+		if next, _ := e.peek(); next != nil && next.at <= last {
 			start := time.Now() //hmcsim:nondet-ok busy-time telemetry; wall clock never feeds simulated state
-			for len(e.pq) > 0 && e.pq[0].at < wEnd && e.pq[0].at <= until {
-				e.Step()
+			for e.step(last) {
 			}
 			d := int64(time.Since(start)) //hmcsim:nondet-ok busy-time telemetry; wall clock never feeds simulated state
 			g.busy[i].Add(d)
@@ -353,8 +357,8 @@ func (g *Group) shardLoop(i int) {
 		}
 		g.trace.OnWindow(i, int64(e.now), int(e.nfired-nf))
 		m := e.outMin
-		if len(e.pq) > 0 && e.pq[0].at < m {
-			m = e.pq[0].at
+		if next, _ := e.peek(); next != nil && next.at < m {
+			m = next.at
 		}
 		g.mins[i] = m
 
@@ -411,7 +415,7 @@ func (g *Group) shardLoop(i int) {
 // parked, so it may touch all engines. It runs the hub's checkpoint if
 // the cadence is due, then either declares the run over or opens the
 // next window at the global minimum event time (skipping empty time
-// wholesale, exactly like the serial engine's heap pop does).
+// wholesale, exactly like the serial engine's queue pop does).
 //
 //hmcsim:hotpath
 func (g *Group) windowBarrier() {

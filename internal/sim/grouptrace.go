@@ -37,7 +37,7 @@ type GroupShardTrace struct {
 	// whose distribution hugs zero is along for the barrier ride.
 	WindowEvents obs.Hist
 	// Mailbox histograms cross-shard events merged into this shard's
-	// heap per barrier. Max is the mailbox depth high-water mark.
+	// queue per barrier. Max is the mailbox depth high-water mark.
 	Mailbox obs.Hist
 
 	tlWin  *obs.TimelineTrack
