@@ -15,8 +15,8 @@
 // Usage:
 //
 //	hmcsim [-exp name[,name...]|all] [-quick] [-seed N] [-workers N]
-//	       [-shards N] [-format text|json] [-traffic spec] [-trace]
-//	       [-timeline file] [-shardstats] [-spans] [-list]
+//	       [-format text|json] [-traffic spec] [-trace]
+//	       [-timeline file] [-spans] [-list]
 //	       [-server URL[,URL...]] [-cpuprofile file] [-memprofile file]
 //
 // -trace (local runs only) compiles per-component tracers into every
@@ -28,12 +28,6 @@
 // activity — vault accepts, link flits, NoC hops, host tag traffic —
 // over simulated time and writes the run's timeline as Chrome
 // trace_event JSON, loadable at https://ui.perfetto.dev.
-//
-// -shardstats (local runs only, with -shards) attaches the lockstep
-// observatory to every sharded engine group and prints a per-shard
-// imbalance report — busy vs barrier time, events per window, mailbox
-// pressure — plus a suggested shard count, after each experiment. The
-// snapshot also rides the Result JSON as a "group" field.
 //
 // -spans (-server runs only) fetches each completed job's lifecycle
 // stage breakdown (received, queued, cache-check, running, marshal,
@@ -73,12 +67,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "reduced sweeps and windows")
 	seed := fs.Uint64("seed", 0, "workload seed override")
 	workers := fs.Int("workers", 0, "sweep fan-out; 0 = NumCPU, 1 = sequential (results are identical either way)")
-	shards := fs.Int("shards", 0, "parallel engine shards per simulation; 0 = serial reference engine (results are identical either way)")
 	format := fs.String("format", "text", "output format: text or json")
 	trafficSpec := fs.String("traffic", "", "synthetic traffic spec for the \"traffic\" experiment: a pattern name or a JSON TrafficSpec")
 	trace := fs.Bool("trace", false, "collect and dump per-component tracer summaries (local runs only)")
 	timeline := fs.String("timeline", "", "write a Chrome trace_event timeline of per-component activity to this file (local runs only)")
-	shardStats := fs.Bool("shardstats", false, "collect and print a per-shard lockstep report (local runs only; needs -shards >= 1)")
 	spans := fs.Bool("spans", false, "print per-job lifecycle spans and per-daemon aggregates (-server runs only)")
 	list := fs.Bool("list", false, "list registered experiments and exit")
 	server := fs.String("server", "", "comma-separated hmcsimd base URL(s); run remotely instead of simulating locally")
@@ -145,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			names[i] = strings.TrimSpace(name)
 		}
 	}
-	o := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers, Shards: *shards}
+	o := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	if *trafficSpec != "" {
 		// Only the generic "traffic" experiment consumes the spec. For
 		// any other selection the flag would be silently ignored — and,
@@ -179,26 +171,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "hmcsim: -timeline is local-only; use -spans for per-job breakdowns of remote runs")
 			return 2
 		}
-		if *shardStats {
-			// Same reasoning again; daemons surface per-shard detail at
-			// /v1/stats and /metrics instead.
-			fmt.Fprintln(stderr, "hmcsim: -shardstats is local-only; daemons expose per-shard detail at /v1/stats and /metrics")
-			return 2
-		}
 		return runRemote(ctx, fleet, names, o, *format, *spans, stdout, stderr)
 	}
 	if *spans {
 		fmt.Fprintln(stderr, "hmcsim: -spans requires -server; local runs have no serving stages (use -trace or -timeline)")
 		return 2
 	}
-	if *shardStats && *shards < 1 {
-		fmt.Fprintln(stderr, "hmcsim: -shardstats needs a sharded engine; add -shards N (N >= 1)")
-		return 2
-	}
 	if names == nil {
 		names = exp.Names()
 	}
-	return runLocal(ctx, names, o, *format, *trace, *timeline, *shardStats, stdout, stderr)
+	return runLocal(ctx, names, o, *format, *trace, *timeline, stdout, stderr)
 }
 
 // parseTraffic turns the -traffic flag into a validated spec. The flag
@@ -252,10 +234,7 @@ func runList(ctx context.Context, fleet *service.Fleet, stdout, stderr io.Writer
 // results (text) or wraps them as a "trace" field (json). With timeline
 // set, the systems additionally sample per-component activity over
 // simulated time, written as Chrome trace_event JSON after the run.
-// With shardStats set, each experiment's sharded systems report
-// lockstep telemetry, folded into its Result and rendered as a
-// per-shard imbalance report.
-func runLocal(ctx context.Context, names []string, o exp.Options, format string, trace bool, timeline string, shardStats bool, stdout, stderr io.Writer) int {
+func runLocal(ctx context.Context, names []string, o exp.Options, format string, trace bool, timeline string, stdout, stderr io.Writer) int {
 	// Resolve every name before running anything: a typo late in the
 	// list must fail fast, not discard minutes of completed sweeps.
 	for _, name := range names {
@@ -292,14 +271,7 @@ func runLocal(ctx context.Context, names []string, o exp.Options, format string,
 	var results []hmcsim.Result
 	for _, name := range names {
 		start := time.Now()
-		// A fresh collector per experiment keeps each Result's folded
-		// snapshot scoped to the systems that experiment built.
-		runCtx := ctx
-		var ssc *hmcsim.ShardStatsCollector
-		if shardStats {
-			runCtx, ssc = hmcsim.WithShardStats(ctx)
-		}
-		res, err := exp.Run(runCtx, name, o)
+		res, err := exp.Run(ctx, name, o)
 		if ctx.Err() != nil {
 			fmt.Fprintln(stderr, "hmcsim: interrupted")
 			return 1
@@ -308,15 +280,8 @@ func runLocal(ctx context.Context, names []string, o exp.Options, format string,
 			fmt.Fprintln(stderr, "hmcsim:", err)
 			return 2
 		}
-		if ssc != nil {
-			gs := ssc.Stats()
-			res.Group = &gs
-		}
 		if format == "text" {
 			fmt.Fprintln(stdout, res)
-			if res.Group != nil {
-				fmt.Fprintln(stdout, res.Group.Report())
-			}
 			fmt.Fprintf(stdout, "[%s took %v]\n\n", res.Name, time.Since(start).Round(time.Millisecond))
 		} else {
 			results = append(results, res)

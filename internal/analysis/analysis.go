@@ -3,11 +3,11 @@
 // of the repository only enforces at runtime.
 //
 //   - determinism: kernel packages must not read wall clocks, use the
-//     process-global math/rand generator, spawn goroutines or select
-//     outside the sim.Group lockstep machinery, or let map iteration
-//     order leak into event schedules or ordered output. The runtime
-//     counterpart is the byte-identity A/B guard (PR 8); this analyzer
-//     catches the drift before it costs a golden-regeneration hunt.
+//     process-global math/rand generator, spawn goroutines or select,
+//     or let map iteration order leak into event schedules or ordered
+//     output. The runtime counterpart is the byte-identity A/B guard;
+//     this analyzer catches the drift before it costs a
+//     golden-regeneration hunt.
 //   - nilhook: every exported method on a pointer-receiver tracer type
 //     must begin with a nil-receiver guard, so a new observability hook
 //     can never panic a tracerless build. Runtime counterpart:

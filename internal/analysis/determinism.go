@@ -8,7 +8,7 @@ import (
 
 // kernelPackages names the simulation-kernel packages (by final import
 // path element) whose results must be bit-identical across runs,
-// machines and shard counts. Anything that perturbs event order or
+// machines and worker counts. Anything that perturbs event order or
 // injects wall-clock state into these packages silently invalidates the
 // A/B byte-identity guarantee the caches and golden tests rest on.
 var kernelPackages = map[string]bool{
@@ -46,7 +46,6 @@ var orderedSinkCalls = map[string]bool{
 	"At":       true,
 	"AtKey":    true,
 	"After":    true,
-	"CrossAt":  true,
 	"Push":     true,
 	"Send":     true,
 	"Post":     true,
@@ -63,10 +62,10 @@ var Determinism = &Analyzer{
 In kernel packages (internal/sim, noc, vault, link, host, hmc, traffic,
 addr, packet) this analyzer flags wall-clock reads (time.Now, time.Since
 and friends), imports of math/rand (whose global generator is seeded per
-process), go statements and select statements (concurrency outside the
-sim.Group lockstep machinery breaks deterministic event order), and
-ranging over a map where the body schedules events or appends to ordered
-output. Suppress a finding with a trailing or preceding
+process), go statements and select statements (every engine runs on one
+goroutine, and concurrency inside a simulation breaks deterministic event
+order), and ranging over a map where the body schedules events or appends
+to ordered output. Suppress a finding with a trailing or preceding
 //hmcsim:nondet-ok <reason> comment; the reason is mandatory.`,
 	Run: runDeterminism,
 }
@@ -89,7 +88,7 @@ func runDeterminism(pass *Pass) error {
 				pass.suppress("nondet-ok", Diagnostic{
 					Pos: n.Pos(),
 					Message: "determinism: go statement in a kernel package; " +
-						"concurrency outside the sim.Group lockstep machinery breaks deterministic event order",
+						"concurrency inside a simulation breaks deterministic event order",
 				})
 			case *ast.SelectStmt:
 				pass.suppress("nondet-ok", Diagnostic{

@@ -18,8 +18,8 @@ var HotPath = &Analyzer{
 
 A function whose doc comment carries //hmcsim:hotpath declares itself
 part of an allocation-free steady-state path (event fire, ring and
-queue operations, cross-shard mailboxes, tracer hooks). Inside such
-functions this analyzer flags: closure literals that capture variables
+queue operations, tracer hooks). Inside such functions this analyzer
+flags: closure literals that capture variables
 (a heap allocation per call — bind the callback once, as sim.Timer
 does), calls into package fmt, string concatenation, and implicit
 boxing of concrete values into interface types (call arguments,

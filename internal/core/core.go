@@ -28,7 +28,6 @@ import (
 	"hmcsim/internal/addr"
 	"hmcsim/internal/hmc"
 	"hmcsim/internal/host"
-	"hmcsim/internal/noc"
 	"hmcsim/internal/obs"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/phys"
@@ -42,36 +41,10 @@ type Config struct {
 	BlockSize int    // address-interleave block size (Figure 3); 128 default
 	Seed      uint64 // base RNG seed for all ports
 
-	// Shards selects the intra-run engine. 0 (the default) runs the
-	// serial reference engine. n >= 1 runs a sim.Group of n lockstep
-	// shards: shard 0 (the hub) carries the links, host controller and
-	// monitors, and the cube's quadrants spread round-robin over the
-	// remaining shards (so values above 1+quadrants clamp). Results are
-	// byte-identical to serial at every shard count; only wall-clock
-	// time changes.
-	Shards int
-
 	// Trace, when non-nil, threads per-component tracers through the
 	// cube and host as the system is assembled. Nil keeps every kernel
 	// hot path on its untraced fast path.
 	Trace *obs.SystemTracer
-
-	// GroupTrace, when non-nil on a sharded build, is installed as the
-	// engine group's lockstep observatory (barrier waits, window
-	// utilization, mailbox traffic); with Trace also set, each shard's
-	// samples land on that shard's timeline. Ignored on serial builds.
-	GroupTrace *sim.GroupTracer
-}
-
-// quadShard maps quadrant q to its group shard: everything on the hub
-// for a 1-shard group, round-robin over shards 1..n-1 otherwise. The
-// quadrant granularity keeps each router and its vaults on one engine,
-// which is what lets the vault-facing fast path stay the serial one.
-func quadShard(q, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return 1 + q%(shards-1)
 }
 
 // DefaultConfig returns the AC-510 + 4 GB HMC 1.1 system of the paper.
@@ -99,23 +72,7 @@ type System struct {
 
 // NewSystem builds a system from cfg.
 func NewSystem(cfg Config) *System {
-	var eng *sim.Engine
-	var engs noc.Engines
-	if cfg.Shards >= 1 {
-		shards := cfg.Shards
-		if max := 1 + addr.Quadrants; shards > max {
-			shards = max // one shard per quadrant plus the hub
-		}
-		g := sim.NewGroup(shards)
-		eng = g.Engine(0)
-		engs = noc.Engines{Hub: eng, Quad: make([]*sim.Engine, addr.Quadrants)}
-		for q := range engs.Quad {
-			engs.Quad[q] = g.Engine(quadShard(q, shards))
-		}
-	} else {
-		eng = sim.NewEngine()
-		engs = noc.SingleEngine(eng, addr.Quadrants)
-	}
+	eng := sim.NewEngine()
 	if cfg.Trace != nil {
 		cfg.Trace.SetClock(func() int64 { return int64(eng.Now()) })
 		cfg.HMC.Trace = cfg.Trace
@@ -123,21 +80,9 @@ func NewSystem(cfg Config) *System {
 	}
 	s := &System{Cfg: cfg, Eng: eng, Map: addr.MustMapping(cfg.BlockSize)}
 	var ctrl *host.Controller
-	s.HMC = hmc.New(engs, cfg.HMC, func(p *packet.Packet) { ctrl.OnResponse(p) })
+	s.HMC = hmc.New(eng, cfg.HMC, func(p *packet.Packet) { ctrl.OnResponse(p) })
 	ctrl = host.NewController(eng, cfg.Host, s.HMC)
 	s.Ctrl = ctrl
-	// Install the lockstep observatory last: hmc.New registered the
-	// shard clocks/timelines the per-shard tracks attach to.
-	if cfg.GroupTrace != nil {
-		if g := eng.Group(); g != nil {
-			if cfg.Trace != nil {
-				for i := 0; i < g.Shards(); i++ {
-					cfg.GroupTrace.AttachTimeline(i, cfg.Trace.ShardTimeline(i))
-				}
-			}
-			g.SetTrace(cfg.GroupTrace)
-		}
-	}
 	return s
 }
 

@@ -48,7 +48,7 @@ func Fig13(ctx context.Context, o Options) Fig13Result {
 			}
 		}
 	}
-	points := hmcsim.Sweep(ctx, o.SweepWorkers(), len(jobs), func(i int) Fig13Point {
+	points := hmcsim.Sweep(ctx, o.Workers, len(jobs), func(i int) Fig13Point {
 		j := jobs[i]
 		sys := o.NewSystemCtx(ctx)
 		r := sys.RunGUPS(core.GUPSSpec{

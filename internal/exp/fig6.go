@@ -30,7 +30,7 @@ type Fig6Result struct {
 // scatter of Figure 6. Each (size, pattern) cell is an independent
 // system, so the sweep fans out across workers.
 func Fig6(ctx context.Context, o Options) Fig6Result {
-	points := hmcsim.Sweep2(ctx, o.SweepWorkers(), Sizes, Patterns, func(size int, ps PatternSpec) Fig6Point {
+	points := hmcsim.Sweep2(ctx, o.Workers, Sizes, Patterns, func(size int, ps PatternSpec) Fig6Point {
 		sys := o.NewSystemCtx(ctx)
 		r := sys.RunGUPS(core.GUPSSpec{
 			Ports:   9,

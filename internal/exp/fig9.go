@@ -39,7 +39,7 @@ func Fig9(ctx context.Context, o Options) Fig9Result {
 	pinnedVaults := []int{1, 5}
 	// Each (pinned, size) pair replays its sixteen sweep positions on
 	// one shared system; the pairs themselves are independent.
-	perJob := hmcsim.Sweep2(ctx, o.SweepWorkers(), pinnedVaults, Sizes, func(pinned, size int) []Fig9Point {
+	perJob := hmcsim.Sweep2(ctx, o.Workers, pinnedVaults, Sizes, func(pinned, size int) []Fig9Point {
 		sys := o.NewSystemCtx(ctx)
 		points := make([]Fig9Point, 0, sweep)
 		for sv := 0; sv < sweep; sv++ {

@@ -61,7 +61,7 @@ var TrafficZipfThetas = []float64{0.01, 0.5, 0.9, 1.2, 1.5, 1.8}
 // latency knee of Figure 6 from a popularity distribution instead of
 // an address mask.
 func TrafficZipf(ctx context.Context, o Options) hmcsim.Result {
-	points := hmcsim.Sweep(ctx, o.SweepWorkers(), len(TrafficZipfThetas), func(i int) trafficPoint {
+	points := hmcsim.Sweep(ctx, o.Workers, len(TrafficZipfThetas), func(i int) trafficPoint {
 		theta := TrafficZipfThetas[i]
 		return runTraffic(ctx, o, hmcsim.TrafficSpec{Pattern: hmcsim.TrafficZipf, ZipfTheta: theta},
 			fmt.Sprintf("zipf %.2f", theta), theta)
@@ -76,7 +76,7 @@ var TrafficMixFractions = []float64{0, 0.25, 0.5, 0.75, 1}
 // write-only uniform traffic, revisiting Section IV-F's bi-directional
 // link asymmetry with a scripted mixer instead of the GUPS alternator.
 func TrafficMix(ctx context.Context, o Options) hmcsim.Result {
-	points := hmcsim.Sweep(ctx, o.SweepWorkers(), len(TrafficMixFractions), func(i int) trafficPoint {
+	points := hmcsim.Sweep(ctx, o.Workers, len(TrafficMixFractions), func(i int) trafficPoint {
 		frac := TrafficMixFractions[i]
 		return runTraffic(ctx, o, hmcsim.TrafficSpec{
 			Pattern:       hmcsim.TrafficUniform,
@@ -97,7 +97,7 @@ var TrafficBurstRates = []float64{0.5, 1, 1.5, 2, 2.5}
 // offered bytes but the bursty series pays queueing latency as its
 // peaks cross the controller ceiling.
 func TrafficBurst(ctx context.Context, o Options) hmcsim.Result {
-	points := hmcsim.Sweep2(ctx, o.SweepWorkers(), TrafficBurstRates, []bool{false, true},
+	points := hmcsim.Sweep2(ctx, o.Workers, TrafficBurstRates, []bool{false, true},
 		func(rate float64, burst bool) trafficPoint {
 			offered := 9 * rate // aggregate across the nine ports
 			if !burst {

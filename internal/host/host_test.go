@@ -5,7 +5,6 @@ import (
 
 	"hmcsim/internal/addr"
 	"hmcsim/internal/hmc"
-	"hmcsim/internal/noc"
 	"hmcsim/internal/packet"
 	"hmcsim/internal/sim"
 )
@@ -22,7 +21,7 @@ func newRig(t *testing.T) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), mapp: addr.MustMapping(128)}
 	var ctrl *Controller
-	r.cube = hmc.New(noc.SingleEngine(r.eng, addr.Quadrants), hmc.DefaultConfig(), func(p *packet.Packet) { ctrl.OnResponse(p) })
+	r.cube = hmc.New(r.eng, hmc.DefaultConfig(), func(p *packet.Packet) { ctrl.OnResponse(p) })
 	ctrl = NewController(r.eng, DefaultConfig(), r.cube)
 	r.ctrl = ctrl
 	return r

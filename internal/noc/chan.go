@@ -7,53 +7,41 @@ import (
 	"hmcsim/internal/sim"
 )
 
-// Chan is a bridge edge of the fabric: a serializing channel whose two
-// endpoints may live on different engines (shards). Three kinds of
-// fabric edges are bridges — link ingress into a quadrant router, the
-// quadrant-router full mesh, and quadrant router to link egress — and
-// they are bridges in every build, serial or sharded, so both builds
-// execute the identical event sequence.
+// Chan is a bridge edge of the fabric: a serializing channel between
+// two routers, or between a router and a link. Three kinds of fabric
+// edges are bridges — link ingress into a quadrant router, the
+// quadrant-router full mesh, and quadrant router to link egress.
 //
-// A bridge differs from the in-router output pipeline in two ways that
-// make it shard-safe:
+// A bridge differs from the in-router output pipeline in two ways:
 //
-//   - Its events carry placement-independent ordering keys
-//     (sim.ChanKey), so same-instant deliveries sort by the model's
-//     wiring rather than by which engine's scheduling counter got there
-//     first.
+//   - Its events carry wiring-derived ordering keys (sim.ChanKey), so
+//     same-instant deliveries sort by the model's wiring and after every
+//     ordinary event of that instant.
 //   - Credits return over the wire: the sender learns of a delivery one
 //     flit + one hop (the channel's reverse latency) after it happens,
-//     instead of at the delivery instant. That reverse latency is what
-//     gives the sharded group a non-zero lookahead window on every
-//     cut edge.
+//     instead of at the delivery instant.
 //
 // Message flow: accept reserves ser+hop on the channel's server — back
 // to back reservations reproduce the in-router pipeline's pacing of one
-// message per ser+hop — and schedules delivery on the destination
-// engine at the reservation's end. Delivery hands the message to the
-// downstream outlet (parking on it under back-pressure), then sends the
-// credit back to the source engine after the reverse latency, where the
-// credit pool, OnForward and the forwarded count are maintained.
-//
-// The SPSC rings carrying messages between the endpoints use plain
-// fields: each index is written by exactly one endpoint, and slot
-// handoff is ordered by the group's window barriers (a delivery event
-// always crosses at least one barrier after the accept that filled the
-// slot, and a slot is reused only after its credit came back).
+// message per ser+hop — and schedules delivery at the reservation's
+// end. Delivery hands the message to the downstream outlet (parking on
+// it under back-pressure), then sends the credit back after the reverse
+// latency, where the credit pool, OnForward and the forwarded count are
+// maintained.
 type Chan struct {
 	name     string
-	src, dst *sim.Engine
+	eng      *sim.Engine
 	flitTime sim.Time
 	hop      sim.Time
 	retLat   sim.Time // credit-return wire latency: one flit + one hop
 
 	credits *sim.TokenPool // nil when the caller owns admission control
-	server  *sim.Server    // serialization pacing, on the source engine
+	server  *sim.Server    // serialization pacing
 	out     Outlet
 
-	// OnForward, when non-nil, runs on the source engine as each
-	// message's credit returns, with the message's flit count. Link
-	// ingress uses it to return link-level tokens.
+	// OnForward, when non-nil, runs as each message's credit returns,
+	// with the message's flit count. Link ingress uses it to return
+	// link-level tokens.
 	OnForward func(flits int)
 
 	// Trace, when non-nil, observes accepts at this channel (standalone
@@ -64,33 +52,29 @@ type Chan struct {
 	// Stall, when non-nil, observes credit stalls: TryOut attempts
 	// refused by an empty credit pool. Kept separate from Trace because
 	// router-owned bridge slots must report stalls without re-counting
-	// hops their router already counted. TryOut always runs on the
-	// source engine, so the source shard's tracer is the race-free
-	// attribution.
+	// hops their router already counted.
 	Stall *obs.NoCTracer
 
 	fwdID, retID   uint64 // channel IDs for the two event directions
 	fwdSeq, retSeq uint64 // per-direction sequence numbers
 
-	flight  msgRing // src pushes at accept, dst pops at delivery
-	pending msgRing // dst-owned: delivered but not yet taken downstream
-	await   intRing // src-owned: flit counts awaiting credit return
+	flight  msgRing // pushed at accept, popped at delivery
+	pending msgRing // delivered but not yet taken downstream
+	await   intRing // flit counts awaiting credit return
 
-	received  uint64 // src-side: messages accepted
-	forwarded uint64 // src-side: credits returned
-	stalls    uint64 // src-side: TryOut refusals on an empty credit pool
+	received  uint64 // messages accepted
+	forwarded uint64 // credits returned
+	stalls    uint64 // TryOut refusals on an empty credit pool
 
-	delivFn func() // delivery event, runs on dst
-	retryFn func() // downstream freed up, runs on dst
-	retFn   func() // credit return, runs on src
+	delivFn func() // delivery event
+	retryFn func() // downstream freed up
+	retFn   func() // credit return
 }
 
-// NewChan builds a bridge from src to dst feeding out. credits > 0
-// installs an admission pool of that many messages; credits == 0 leaves
-// admission to the caller (Inject), bounded by bound messages in
-// flight. The channel registers its reverse latency as cross-shard
-// lookahead with src's group, if any.
-func NewChan(src, dst *sim.Engine, name string, cfg Config, credits, bound int, out Outlet) *Chan {
+// NewChan builds a bridge on eng feeding out. credits > 0 installs an
+// admission pool of that many messages; credits == 0 leaves admission
+// to the caller (Inject), bounded by bound messages in flight.
+func NewChan(eng *sim.Engine, name string, cfg Config, credits, bound int, out Outlet) *Chan {
 	if credits > 0 {
 		bound = credits
 	}
@@ -99,15 +83,14 @@ func NewChan(src, dst *sim.Engine, name string, cfg Config, credits, bound int, 
 	}
 	c := &Chan{
 		name:     name,
-		src:      src,
-		dst:      dst,
+		eng:      eng,
 		flitTime: cfg.FlitTime,
 		hop:      cfg.HopLatency,
 		retLat:   cfg.FlitTime + cfg.HopLatency,
-		server:   sim.NewServer(src),
+		server:   sim.NewServer(eng),
 		out:      out,
-		fwdID:    src.AllocChanID(),
-		retID:    src.AllocChanID(),
+		fwdID:    eng.AllocChanID(),
+		retID:    eng.AllocChanID(),
 		flight:   newMsgRing(bound),
 		pending:  newMsgRing(bound),
 		await:    newIntRing(bound),
@@ -115,8 +98,6 @@ func NewChan(src, dst *sim.Engine, name string, cfg Config, credits, bound int, 
 	if credits > 0 {
 		c.credits = sim.NewTokenPool(credits)
 	}
-	// Both directions' minimum latency is one flit + one hop.
-	src.ObserveLookahead(c.retLat)
 	c.delivFn = c.deliver
 	c.retryFn = c.drainPending
 	c.retFn = c.creditReturn
@@ -162,19 +143,19 @@ func (c *Chan) accept(m *Message) {
 	c.flight.push(m)
 	c.await.push(flits)
 	c.fwdSeq++
-	c.src.CrossAt(c.dst, end, sim.ChanKey(c.fwdID, c.fwdSeq), c.delivFn)
+	c.eng.AtKey(end, sim.ChanKey(c.fwdID, c.fwdSeq), c.delivFn)
 	if c.Trace != nil {
 		c.Trace.OnHop(c.Queued())
 	}
 }
 
-// deliver runs on the destination engine when a message's ser+hop
-// elapses. Messages of one channel deliver in accept order (the server
-// end times are non-decreasing and the sequence keys break ties), so
-// the flight ring's head is always the delivered message. Whenever
-// pending is non-empty exactly one drain driver exists — a parked
-// outlet registration, a scheduled continuation, or a running
-// drainPending — so deliver only starts one when the queue was empty.
+// deliver runs when a message's ser+hop elapses. Messages of one
+// channel deliver in accept order (the server end times are
+// non-decreasing and the sequence keys break ties), so the flight
+// ring's head is always the delivered message. Whenever pending is
+// non-empty exactly one drain driver exists — a parked outlet
+// registration, a scheduled continuation, or a running drainPending —
+// so deliver only starts one when the queue was empty.
 func (c *Chan) deliver() {
 	idle := c.pending.len() == 0
 	c.pending.push(c.flight.pop())
@@ -185,7 +166,7 @@ func (c *Chan) deliver() {
 
 // drainPending hands the head pending message downstream, parking on
 // the outlet under back-pressure, and sends its credit back to the
-// source engine after the reverse latency.
+// source after the reverse latency.
 //
 // It makes at most one attempt per invocation: a further pending
 // message is handed over in a fresh same-instant event rather than
@@ -203,15 +184,15 @@ func (c *Chan) drainPending() {
 	// The outlet owns m now; it must not be touched again.
 	c.pending.pop()
 	c.retSeq++
-	c.dst.CrossAt(c.src, c.dst.Now()+c.retLat, sim.ChanKey(c.retID, c.retSeq), c.retFn)
+	c.eng.AtKey(c.eng.Now()+c.retLat, sim.ChanKey(c.retID, c.retSeq), c.retFn)
 	if c.pending.len() > 0 {
-		c.dst.Schedule(0, c.retryFn)
+		c.eng.Schedule(0, c.retryFn)
 	}
 }
 
-// creditReturn runs on the source engine as each delivery's credit
-// arrives back. Returns ride the same FIFO wire, so the await ring's
-// head is always the message being credited.
+// creditReturn runs as each delivery's credit arrives back. Returns
+// ride the same FIFO wire, so the await ring's head is always the
+// message being credited.
 func (c *Chan) creditReturn() {
 	flits := c.await.pop()
 	c.forwarded++
@@ -230,7 +211,7 @@ func (c *Chan) Received() uint64 { return c.received }
 // has been credited back.
 func (c *Chan) Forwarded() uint64 { return c.forwarded }
 
-// Queued returns the source-side occupancy: messages accepted whose
+// Queued returns the channel's occupancy: messages accepted whose
 // credit has not yet returned.
 func (c *Chan) Queued() int { return c.await.len() }
 
@@ -238,10 +219,9 @@ func (c *Chan) Queued() int { return c.await.len() }
 // how often upstream traffic found this bridge full.
 func (c *Chan) Stalls() uint64 { return c.stalls }
 
-// msgRing is a fixed-capacity FIFO of messages with single-writer
-// indices: only the producer touches tail, only the consumer touches
-// head. Capacity is proven sufficient by the credit bound, so indexing
-// is unchecked modular arithmetic.
+// msgRing is a fixed-capacity FIFO of messages. Capacity is proven
+// sufficient by the credit bound, so indexing is unchecked modular
+// arithmetic.
 type msgRing struct {
 	buf        []*Message
 	head, tail uint64
@@ -264,8 +244,6 @@ func (r *msgRing) pop() *Message {
 
 func (r *msgRing) peek() *Message { return r.buf[r.head%uint64(len(r.buf))] }
 
-// len is only meaningful on rings owned entirely by one endpoint
-// (pending, await); it reads both indices.
 func (r *msgRing) len() int { return int(r.tail - r.head) }
 
 // intRing is msgRing's shape for flit counts.

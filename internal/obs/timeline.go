@@ -13,9 +13,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 )
 
 // TimelineBuckets is the fixed per-track bucket count. 256 buckets at
@@ -33,7 +31,6 @@ const DefaultTimelineWidthPs = 1 << 20
 type Timeline struct {
 	widthPs int64
 	tracks  []*TimelineTrack
-	slices  []*SliceTrack
 }
 
 // NewTimeline returns a timeline with the given initial bucket width in
@@ -134,107 +131,13 @@ func (tr *TimelineTrack) Total() uint64 {
 	return sum
 }
 
-// sliceCap is a SliceTrack's fixed entry capacity. Like counter tracks,
-// slice tracks stay bounded by coarsening instead of growing: when the
-// array fills, adjacent entries merge (durations sum, the earlier
-// timestamp wins), halving occupancy while keeping full-run coverage.
-const sliceCap = 2048
-
-// SliceTrack records duration slices — (simulated timestamp, wall-clock
-// duration) pairs such as barrier stalls — against its timeline's
-// process. Appends must be monotone in timestamp (one writer advancing
-// simulated time), which folding preserves. All storage is preallocated
-// at creation, so Add is allocation-free.
-type SliceTrack struct {
-	tl    *Timeline
-	Name  string
-	ts    []int64 // simulated picoseconds, monotone non-decreasing
-	dur   []int64 // wall-clock nanoseconds
-	n     int
-	Folds int // times the track coarsened to stay in bounds
-}
-
-// Slices returns (creating on demand) the named duration-slice track.
-// Safe on a nil timeline, where it returns a nil track whose Add is a
-// no-op.
-func (tl *Timeline) Slices(name string) *SliceTrack {
-	if tl == nil {
-		return nil
-	}
-	for _, st := range tl.slices {
-		if st.Name == name {
-			return st
-		}
-	}
-	st := &SliceTrack{
-		tl:   tl,
-		Name: name,
-		ts:   make([]int64, sliceCap),
-		dur:  make([]int64, sliceCap),
-	}
-	tl.slices = append(tl.slices, st)
-	return st
-}
-
-// SliceTracks returns the registered slice tracks in creation order.
-func (tl *Timeline) SliceTracks() []*SliceTrack {
-	if tl == nil {
-		return nil
-	}
-	return tl.slices
-}
-
-// Add records one slice of durNs wall-clock nanoseconds at simulated
-// time tPs. No-op on a nil track; allocation-free otherwise.
-//
-//hmcsim:hotpath
-func (st *SliceTrack) Add(tPs, durNs int64) {
-	if st == nil {
-		return
-	}
-	if st.n == sliceCap {
-		for i := 0; i < sliceCap/2; i++ {
-			st.ts[i] = st.ts[2*i]
-			st.dur[i] = st.dur[2*i] + st.dur[2*i+1]
-		}
-		st.n = sliceCap / 2
-		st.Folds++
-	}
-	st.ts[st.n] = tPs
-	st.dur[st.n] = durNs
-	st.n++
-}
-
-// Len returns the number of recorded (possibly merged) slices.
-func (st *SliceTrack) Len() int {
-	if st == nil {
-		return 0
-	}
-	return st.n
-}
-
-// TotalDurNanos sums the recorded slice durations in nanoseconds.
-func (st *SliceTrack) TotalDurNanos() int64 {
-	if st == nil {
-		return 0
-	}
-	var sum int64
-	for _, d := range st.dur[:st.n] {
-		sum += d
-	}
-	return sum
-}
-
 // traceEvent is one Chrome trace_event record. Counter samples use
-// ph "C"; complete slices use ph "X"; process and thread metadata use
-// ph "M".
+// ph "C"; process metadata uses ph "M".
 type traceEvent struct {
 	Name string      `json:"name"`
 	Ph   string      `json:"ph"`
 	Pid  int         `json:"pid"`
-	Tid  int         `json:"tid,omitempty"`
 	Ts   float64     `json:"ts"`
-	Dur  float64     `json:"dur,omitempty"`
 	Args interface{} `json:"args,omitempty"`
 }
 
@@ -244,18 +147,12 @@ type chromeTrace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders every registered system's timelines as
-// Chrome trace_event JSON (counter events over simulated time, one
-// process per timeline), loadable in Perfetto or chrome://tracing. A
-// sharded system exports one process per engine shard alongside the
-// primary, so per-shard counter tracks appear side by side. Duration
-// slices (barrier stalls) become ph "X" complete events on their own
-// thread rows: positioned at their simulated timestamp, with the
-// wall-clock wait rendered as the slice length — a deliberate
-// mixed-axis view that makes contention pile-ups visible next to the
-// traffic that caused them. Systems without a timeline are skipped;
-// with none at all the output is still a valid empty trace. Timestamps
-// map simulated picoseconds onto the format's microsecond axis.
+// WriteChromeTrace renders every registered system's timeline as Chrome
+// trace_event JSON (counter events over simulated time, one process per
+// timeline), loadable in Perfetto or chrome://tracing. Systems without a
+// timeline are skipped; with none at all the output is still a valid
+// empty trace. Timestamps map simulated picoseconds onto the format's
+// microsecond axis.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	c.mu.Lock()
 	systems := append([]*SystemTracer(nil), c.systems...)
@@ -263,23 +160,24 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 
 	out := chromeTrace{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
 	pid := 0
-	emit := func(name string, tl *Timeline) {
+	for _, sys := range systems {
+		tl := sys.Timeline()
+		if tl == nil {
+			continue
+		}
 		pid++
 		named := false
-		ensureNamed := func() {
-			if !named {
-				out.TraceEvents = append(out.TraceEvents, traceEvent{
-					Name: "process_name", Ph: "M", Pid: pid,
-					Args: map[string]string{"name": name},
-				})
-				named = true
-			}
-		}
 		for _, tr := range tl.tracks {
 			if tr.Total() == 0 {
 				continue
 			}
-			ensureNamed()
+			if !named {
+				out.TraceEvents = append(out.TraceEvents, traceEvent{
+					Name: "process_name", Ph: "M", Pid: pid,
+					Args: map[string]string{"name": "system"},
+				})
+				named = true
+			}
 			// Emit occupied buckets plus the zero bucket that follows a
 			// run of activity, so counters visibly drop instead of
 			// holding their last value across idle stretches.
@@ -293,42 +191,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 					Args: map[string]uint64{"c": tr.counts[i]},
 				})
 			}
-		}
-		for si, st := range tl.slices {
-			if st.Len() == 0 {
-				continue
-			}
-			ensureNamed()
-			tid := si + 1
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": st.Name},
-			})
-			for k := 0; k < st.n; k++ {
-				out.TraceEvents = append(out.TraceEvents, traceEvent{
-					Name: st.Name, Ph: "X", Pid: pid, Tid: tid,
-					Ts:   float64(st.ts[k]) / 1e6,
-					Dur:  float64(st.dur[k]) / 1e3,
-					Args: map[string]int64{"waitNs": st.dur[k]},
-				})
-			}
-		}
-	}
-	for _, sys := range systems {
-		tl := sys.Timeline()
-		if tl == nil {
-			continue
-		}
-		emit("system", tl)
-		shardIDs := make([]int, 0, len(sys.shards))
-		for id, st := range sys.shards {
-			if st.tl != nil {
-				shardIDs = append(shardIDs, id)
-			}
-		}
-		sort.Ints(shardIDs)
-		for _, id := range shardIDs {
-			emit(fmt.Sprintf("shard %d", id), sys.shards[id].tl)
 		}
 	}
 	enc := json.NewEncoder(w)

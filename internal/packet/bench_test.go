@@ -46,6 +46,9 @@ func BenchmarkDecode(b *testing.B) {
 // release both. Steady state is 0 allocs/op.
 func BenchmarkPacketPool(b *testing.B) {
 	tr := &Transaction{Write: false, Addr: 0x1000, Size: 64, Tag: 7}
+	req, resp := tr.RequestPacket(tr.Tag), tr.ResponsePacket(tr.Tag) // warm-up: fill the free list
+	PutPacket(req)
+	PutPacket(resp)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,6 +62,7 @@ func BenchmarkPacketPool(b *testing.B) {
 // BenchmarkTransactionPool measures the per-access transaction
 // acquire/release cycle the ports perform.
 func BenchmarkTransactionPool(b *testing.B) {
+	PutTransaction(GetTransaction()) // warm-up: fill the free list
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -30,12 +30,6 @@ type FlightRecord struct {
 	// slow-job threshold.
 	Slow       bool      `json:"slow,omitempty"`
 	FinishedAt time.Time `json:"finishedAt"`
-	// Shards and BarrierWaitMs are the lockstep-observatory roll-up of
-	// a sharded run: the engine-group shard count and the total
-	// wall-clock time its shards spent waiting at window barriers.
-	// Omitted for serial runs and cache hits.
-	Shards        int     `json:"shards,omitempty"`
-	BarrierWaitMs float64 `json:"barrierWaitMs,omitempty"`
 }
 
 // flightRecorder keeps a bounded ring of the last N completed jobs plus

@@ -66,21 +66,6 @@ func TestFlightAttribution(t *testing.T) {
 	}
 }
 
-// shardedRunner builds a real sharded system from the job context, so
-// the worker-installed lockstep observatory has barriers to observe.
-type shardedRunner struct{ name string }
-
-func (r shardedRunner) Name() string     { return r.name }
-func (r shardedRunner) Describe() string { return "sharded echo" }
-func (r shardedRunner) Run(ctx context.Context, o hmcsim.Options) (hmcsim.Result, error) {
-	sys := o.NewSystemCtx(ctx)
-	hmcsim.GUPS{
-		Ports: 2, Size: 64, Pattern: hmcsim.AllVaults,
-		Warmup: 1 * hmcsim.Microsecond, Window: 2 * hmcsim.Microsecond,
-	}.Run(sys)
-	return hmcsim.Result{Name: r.name, Title: "sharded echo", Options: o}, nil
-}
-
 // syncBuffer is a mutex-guarded log sink: the slog handler writes from
 // worker goroutines while the test polls String.
 type syncBuffer struct {
@@ -100,22 +85,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestFlightRecordsShardTelemetry: on a sharded daemon a worker-run job
-// stamps its flight record with the engine shard count and total
-// barrier wait, the structured logger emits trace-correlated
-// admitted/finished records, and /v1/stats plus /metrics expose the
-// per-shard barrier series.
-func TestFlightRecordsShardTelemetry(t *testing.T) {
+// TestFlightRecordsTraceCorrelatedLog: a worker-run job stamps its
+// flight record with the submitted trace ID, and the structured logger
+// emits trace-correlated admitted/finished records.
+func TestFlightRecordsTraceCorrelatedLog(t *testing.T) {
 	var logBuf syncBuffer
 	cfg := Config{
-		Workers: 1, Shards: 2,
-		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		Workers: 1,
+		Logger:  slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	}
-	s, c := newTestServer(t, cfg, shardedRunner{name: "sh"})
+	_, c := newTestServer(t, cfg, newFake("e"))
 	c.TraceID = "cafe0123cafe0123"
 	ctx := context.Background()
 
-	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "sh"})
+	v, err := c.Submit(ctx, hmcsim.Spec{Exp: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +110,7 @@ func TestFlightRecordsShardTelemetry(t *testing.T) {
 	if len(fv.Records) != 1 {
 		t.Fatalf("want 1 flight record, got %d", len(fv.Records))
 	}
-	r := fv.Records[0]
-	if r.Shards != 2 {
-		t.Errorf("flight record Shards = %d, want 2", r.Shards)
-	}
-	if r.BarrierWaitMs <= 0 {
-		t.Errorf("flight record BarrierWaitMs = %v, want > 0 over a sharded run", r.BarrierWaitMs)
-	}
-	if r.TraceID != "cafe0123cafe0123" {
+	if r := fv.Records[0]; r.TraceID != "cafe0123cafe0123" {
 		t.Errorf("flight record TraceID = %q, want the submitted header value", r.TraceID)
 	}
 
@@ -145,40 +121,9 @@ func TestFlightRecordsShardTelemetry(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	logs := logBuf.String()
-	for _, want := range []string{"job admitted", "job finished", "cafe0123cafe0123", `"shards":2`, "barrierWaitMs"} {
+	for _, want := range []string{"job admitted", "job finished", "cafe0123cafe0123"} {
 		if !strings.Contains(logs, want) {
 			t.Errorf("structured log missing %q:\n%s", want, logs)
-		}
-	}
-
-	st := s.Snapshot()
-	if len(st.ShardBarrierMs) != 2 || len(st.ShardBusyRatio) != 2 {
-		t.Fatalf("stats shard series lengths = %d/%d, want 2/2",
-			len(st.ShardBarrierMs), len(st.ShardBusyRatio))
-	}
-	for i, ratio := range st.ShardBusyRatio {
-		if ratio < 0 || ratio > 1 {
-			t.Errorf("shard %d busy ratio %v out of [0,1]", i, ratio)
-		}
-	}
-
-	resp, err := c.HTTP.Get(c.Base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`hmcsim_shard_barrier_wait_ms{shard="0"}`,
-		`hmcsim_shard_barrier_wait_ms{shard="1"}`,
-		`hmcsim_shard_busy_ratio{shard="0"}`,
-		`hmcsim_shard_busy_ratio{shard="1"}`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %s", want)
 		}
 	}
 }

@@ -69,13 +69,6 @@ type Job struct {
 	marks   spanMarks
 	record  func(FlightRecord)
 
-	// shards and barrierMs carry the lockstep-observatory roll-up of a
-	// sharded run (shard count and total wall-clock barrier wait), set
-	// by the worker before the terminal transition and stamped into the
-	// flight record. Zero for serial runs and cache hits.
-	shards    int
-	barrierMs float64
-
 	// prog is the latest live-progress snapshot from the running sweep;
 	// watchers are progress streams (SSE handlers), each a capacity-1
 	// latest-value channel so a slow consumer only coarsens its own
@@ -287,18 +280,16 @@ func (j *Job) finishLocked(s State) {
 // marks; the Slow flag is stamped by the recorder.
 func (j *Job) flightRecordLocked() FlightRecord {
 	r := FlightRecord{
-		ID:            j.id,
-		Exp:           j.spec.Exp,
-		Key:           j.key,
-		TraceID:       j.traceID,
-		State:         j.state,
-		Cached:        j.cached,
-		Worker:        j.worker,
-		Error:         j.err,
-		TotalMs:       msBetween(j.marks.received, j.finished),
-		FinishedAt:    j.finished,
-		Shards:        j.shards,
-		BarrierWaitMs: j.barrierMs,
+		ID:         j.id,
+		Exp:        j.spec.Exp,
+		Key:        j.key,
+		TraceID:    j.traceID,
+		State:      j.state,
+		Cached:     j.cached,
+		Worker:     j.worker,
+		Error:      j.err,
+		TotalMs:    msBetween(j.marks.received, j.finished),
+		FinishedAt: j.finished,
 	}
 	m := &j.marks
 	if !m.runStart.IsZero() {
@@ -310,18 +301,6 @@ func (j *Job) flightRecordLocked() FlightRecord {
 		r.RunMs = msBetween(m.runStart, end)
 	}
 	return r
-}
-
-// setShardStats records the lockstep-observatory roll-up of a sharded
-// run so the flight record can attribute barrier-wait time. Called by
-// the worker after the run completes, before the terminal transition.
-func (j *Job) setShardStats(gs hmcsim.GroupStats) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.shards = gs.Shards
-	for _, sh := range gs.PerShard {
-		j.barrierMs += sh.BarrierMs
-	}
 }
 
 // complete records a successful outcome. cached marks results served

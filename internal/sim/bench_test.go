@@ -158,6 +158,8 @@ func BenchmarkRingPushPop(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		r.Push(i)
 	}
+	r.Push(0) // warm-up: the first push past the initial capacity grows the ring
+	r.Pop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,6 +180,8 @@ func BenchmarkTokenPoolNotifyRelease(b *testing.B) {
 		}
 	}
 	p.TryAcquire(1)
+	p.Notify(again)
+	p.Release(1) // warm-up: the first cycle sizes the waiter arrays
 	p.Notify(again)
 	b.ReportAllocs()
 	b.ResetTimer()

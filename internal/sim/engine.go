@@ -69,9 +69,7 @@ type event struct {
 // (see ChanKey) carry a key with the top bit set, which places them
 // after every ordinary event of the same instant and orders them by
 // (channel, sequence) — an order that depends only on the wiring of the
-// model, not on which engine's counter scheduled them. That placement
-// independence is what lets the sharded group engine replay the exact
-// serial execution order.
+// model, not on the order in which the events were scheduled.
 func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.key < b.key)
 }
@@ -79,11 +77,11 @@ func (a *event) before(b *event) bool {
 // chanBand is the key-space band reserved for channel events.
 const chanBand = uint64(1) << 63
 
-// ChanKey builds the placement-independent ordering key of the seq-th
-// event on channel id. Channel IDs come from AllocChanID so they are
-// unique within an engine or group; per-channel sequences keep the
-// (time, key) pair unique. The layout leaves 40 bits of sequence per
-// channel — ~10^12 events, far beyond any run in this repository.
+// ChanKey builds the wiring-derived ordering key of the seq-th event on
+// channel id. Channel IDs come from AllocChanID so they are unique
+// within an engine; per-channel sequences keep the (time, key) pair
+// unique. The layout leaves 40 bits of sequence per channel — ~10^12
+// events, far beyond any run in this repository.
 func ChanKey(id, seq uint64) uint64 {
 	return chanBand | id<<40 | seq&(1<<40-1)
 }
@@ -142,14 +140,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	nfired  uint64
-
-	// Sharded execution: a grouped engine is one shard of a Group and
-	// delegates Run/Drain to the group's lockstep loop. Ungrouped
-	// engines (the serial reference path) leave g nil and pay nothing.
-	g       *Group
-	shard   int
-	chanIDs uint64 // channel-ID allocator for ungrouped engines
-	outMin  Time   // earliest cross-shard event posted this window
+	chanIDs uint64 // channel-ID allocator
 
 	// Checkpoint state: every ckEvery fired events Run and Drain call
 	// ckFn, which may observe progress and request an early stop by
@@ -168,47 +159,16 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far. On the hub engine
-// of a sharded group it aggregates every shard; call it only between
-// runs or from a group checkpoint, where the other shards are parked.
-func (e *Engine) Fired() uint64 {
-	if e.g != nil && e.shard == 0 {
-		return e.g.fired()
-	}
-	return e.nfired
-}
+// Fired returns the number of events executed so far.
+func (e *Engine) Fired() uint64 { return e.nfired }
 
-// Shard returns this engine's shard index within its group, 0 for
-// ungrouped engines.
-func (e *Engine) Shard() int { return e.shard }
-
-// Group returns the engine's group, nil for the serial reference path.
-func (e *Engine) Group() *Group { return e.g }
-
-// AllocChanID returns a fresh channel ID. IDs are unique within an
-// engine (or, for grouped engines, within the whole group), and because
-// model construction is single-threaded and identical regardless of
-// shard count, the k-th allocated ID is the same in serial and sharded
-// builds — which is what keeps ChanKey placement-independent.
+// AllocChanID returns a fresh channel ID, unique within the engine.
+// Model construction is single-threaded and deterministic, so the k-th
+// allocated ID names the same channel in every build of a model.
 func (e *Engine) AllocChanID() uint64 {
-	if e.g != nil {
-		id := e.g.chanIDs
-		e.g.chanIDs++
-		return id
-	}
 	id := e.chanIDs
 	e.chanIDs++
 	return id
-}
-
-// ObserveLookahead tells the engine's group (if any) that a channel with
-// the given minimum cross-shard latency exists; the group's lockstep
-// window is the minimum over all registered lookaheads. No-op on
-// ungrouped engines.
-func (e *Engine) ObserveLookahead(d Time) {
-	if e.g != nil {
-		e.g.observeLookahead(d)
-	}
 }
 
 // Pending returns the number of scheduled-but-unfired events in both
@@ -248,8 +208,8 @@ func (e *Engine) At(t Time, fn func()) {
 
 // AtKey runs fn at absolute time t under an explicit ordering key
 // (built with ChanKey). Channels use it so that same-instant delivery
-// order depends only on the model's wiring, never on which engine
-// scheduled the event. The caller must keep (t, key) pairs unique.
+// order depends only on the model's wiring. The caller must keep
+// (t, key) pairs unique.
 //
 //hmcsim:hotpath
 func (e *Engine) AtKey(t Time, key uint64, fn func()) {
@@ -257,25 +217,6 @@ func (e *Engine) AtKey(t Time, key uint64, fn func()) {
 		scheduleInPast(t, e.now)
 	}
 	e.push(event{at: t, key: key, fn: fn})
-}
-
-// CrossAt schedules fn at absolute time t with the given channel key on
-// the dst engine. Same-engine (and serial-build) channels push straight
-// onto dst's queue; cross-shard channels post through the group's
-// mailboxes, to be merged into dst's queue at the next window barrier.
-// Cross-shard times must be at least one lockstep window in the future,
-// which channel latencies guarantee by construction.
-//
-//hmcsim:hotpath
-func (e *Engine) CrossAt(dst *Engine, t Time, key uint64, fn func()) {
-	if dst == e || e.g == nil {
-		dst.AtKey(t, key, fn)
-		return
-	}
-	if t < e.outMin {
-		e.outMin = t
-	}
-	e.g.post(e.shard, dst.shard, t, key, fn)
 }
 
 // push queues ev: in its near bucket if it falls within the horizon of
@@ -422,6 +363,10 @@ func (e *Engine) step(until Time) bool {
 	return true
 }
 
+// maxTime is the far-future sentinel Step and Drain run until: beyond
+// any reachable simulation timestamp.
+const maxTime = Time(1) << 62
+
 // Step executes the next event, if any, and reports whether one ran.
 //
 //hmcsim:hotpath
@@ -486,9 +431,6 @@ func (e *Engine) checkpoint() (stop bool) {
 // case the clock is left at the last fired event rather than advanced
 // to until.
 func (e *Engine) Run(until Time) Time {
-	if e.g != nil {
-		return e.g.run(e, until, false)
-	}
 	e.interrupted = false
 	for e.step(until) {
 		if e.checkpoint() {
@@ -506,10 +448,6 @@ func (e *Engine) Run(until Time) Time {
 // measurement window closes. Like Run, an installed checkpoint may
 // interrupt it early.
 func (e *Engine) Drain() {
-	if e.g != nil {
-		e.g.run(e, maxTime, true)
-		return
-	}
 	e.interrupted = false
 	for e.Step() {
 		if e.checkpoint() {
