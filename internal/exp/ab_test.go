@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,5 +82,39 @@ func TestTracedABGuard(t *testing.T) {
 					tc.Systems(), tlc.Systems())
 			}
 		})
+	}
+}
+
+// TestTracedShardedABGuard extends the observe-only contract to a sweep
+// whose points are sharded across several concurrent workers: each
+// point builds its own single-engine System, and every System feeds the
+// same trace and timeline collectors at once. The Result JSON must
+// still match the untraced golden byte for byte. The one-worker case is
+// TestTracedABGuard.
+func TestTracedShardedABGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traced sharded A/B guard runs full quick experiments; skipped with -short")
+	}
+	for _, name := range []string{"fig6", "traffic-zipf"} {
+		for _, shards := range []int{2, 4} {
+			name, shards := name, shards
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				want, err := os.ReadFile(filepath.Join("testdata", "ab", name+".json"))
+				if err != nil {
+					t.Fatalf("missing golden snapshot (run with HMCSIM_AB_UPDATE=1 to create): %v", err)
+				}
+				ctx, tc := hmcsim.WithTrace(context.Background())
+				ctx, tlc := hmcsim.WithTimeline(ctx)
+				got := runJSONCtx(t, ctx, name, Options{Quick: true, Workers: shards})
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s sharded across %d workers with tracers attached: Result JSON differs from the untraced golden (%d vs %d bytes); telemetry must observe, never perturb",
+						name, shards, len(got), len(want))
+				}
+				if tc.Systems() < 2 || tlc.Systems() < 2 {
+					t.Errorf("collectors saw %d traced and %d timeline systems, want several from the sharded sweep",
+						tc.Systems(), tlc.Systems())
+				}
+			})
+		}
 	}
 }

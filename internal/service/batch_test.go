@@ -23,6 +23,12 @@ func TestBatchSubmit(t *testing.T) {
 	if err != nil || warm.State != StateDone {
 		t.Fatalf("warm-up: %v / %+v", err, warm)
 	}
+	// Hold the fresh runs until their views have been checked: a runner
+	// that returns at once can finish before the batch response is
+	// built, which would make the non-terminal check below timing-bound.
+	// No run is in flight here, and the queue hands each job to a
+	// worker, so setting the field now is race-free.
+	fake.release = make(chan struct{})
 
 	views, err := c.SubmitBatch(ctx, []hmcsim.Spec{
 		{Exp: "e", Options: hmcsim.Options{Seed: 1}}, // cache hit
@@ -44,6 +50,7 @@ func TestBatchSubmit(t *testing.T) {
 			t.Fatalf("fresh view %d already terminal: %+v", i+1, v)
 		}
 	}
+	close(fake.release)
 	for _, v := range views[1:] {
 		if got := waitJob(t, c, v.ID); got.State != StateDone {
 			t.Fatalf("job %s ended %s", v.ID, got.State)
