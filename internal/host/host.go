@@ -112,7 +112,8 @@ type Controller struct {
 
 	engine   *sim.Server
 	slotTime sim.Time
-	rr       int
+	dirs     []*link.Dir // dev.ReqDir(l) for every link, cached once
+	rr       int         // link the next send attempt tries first
 
 	jobs     sim.Ring[ctrlJob] // on the packet engine, FIFO by Reserve order
 	engineFn func()
@@ -121,13 +122,15 @@ type Controller struct {
 	rxq      sim.Ring[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
 	rxFn     func()
 
-	// blockedq[l] holds requests that found every link full, parked on
-	// link l's token pool (the first link their attempt round-robin
-	// tried). Each park pairs one ring push with one waiter registration
-	// on the same pool, and both fire in FIFO order, so retryFns[l]
-	// always pops the packet whose registration woke it.
-	blockedq []sim.Ring[*packet.Packet]
-	retryFns []func()
+	// parked[l] holds, in arrival order, the requests whose last attempt
+	// found every link full and that wait on link l's token pool (the
+	// first link that attempt tried). While it is non-empty exactly one
+	// waker, wakeFns[l], is armed on that pool (armed[l]), however many
+	// packets wait behind it. A release fires the waker, which retries
+	// the packets parked when it fired, each as one attempt of its own.
+	parked  []sim.Ring[*packet.Packet]
+	armed   []bool
+	wakeFns []func()
 
 	reqsSent  uint64
 	respsRecv uint64
@@ -157,11 +160,15 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 	c.engineFn = c.engineDone
 	c.txFn = c.txDone
 	c.rxFn = c.rxDone
-	c.blockedq = make([]sim.Ring[*packet.Packet], dev.Links())
-	c.retryFns = make([]func(), dev.Links())
-	for l := range c.retryFns {
+	n := dev.Links()
+	c.dirs = make([]*link.Dir, n)
+	c.parked = make([]sim.Ring[*packet.Packet], n)
+	c.armed = make([]bool, n)
+	c.wakeFns = make([]func(), n)
+	for l := range c.dirs {
 		l := l
-		c.retryFns[l] = func() { c.sendReq(c.blockedq[l].Pop()) }
+		c.dirs[l] = dev.ReqDir(l)
+		c.wakeFns[l] = func() { c.wake(l) }
 	}
 	return c
 }
@@ -223,23 +230,113 @@ func (c *Controller) rxDone() {
 	port.complete(tr)
 }
 
-// sendReq pushes the packet onto a link, round-robining across links and
-// waiting for link tokens when the cube exerts back-pressure.
+// sendReq makes one attempt to push the packet onto a link: it tries
+// every link once, in ring order from rr, and advances rr by one
+// whatever the outcome. When the cube exerts back-pressure on all of
+// them, the packet parks on the first link it tried.
+//
+//hmcsim:hotpath
 func (c *Controller) sendReq(pkt *packet.Packet) {
-	links := c.dev.Links()
-	first := c.rr
-	c.rr = (c.rr + 1) % links
-	for i := 0; i < links; i++ {
-		l := (first + i) % links
+	first := c.nextLink()
+	l := first
+	for range c.dirs {
 		pkt.Link = l
 		pkt.Tr.Link = l
-		if c.dev.ReqDir(l).TrySend(pkt) {
+		if c.dirs[l].TrySend(pkt) {
 			c.reqsSent++
 			return
 		}
+		if l++; l == len(c.dirs) {
+			l = 0
+		}
 	}
-	c.blockedq[first].Push(pkt)
-	c.dev.ReqDir(first).NotifyTokens(c.retryFns[first])
+	c.park(first, pkt)
+}
+
+// nextLink returns rr and steps it round the ring.
+//
+//hmcsim:hotpath
+func (c *Controller) nextLink() int {
+	l := c.rr
+	if c.rr++; c.rr == len(c.dirs) {
+		c.rr = 0
+	}
+	return l
+}
+
+// park queues a packet on link l's token pool.
+//
+//hmcsim:hotpath
+func (c *Controller) park(l int, pkt *packet.Packet) {
+	c.parked[l].Push(pkt)
+	c.arm(l)
+}
+
+// arm registers link l's waker on its token pool unless it is already
+// armed.
+//
+//hmcsim:hotpath
+func (c *Controller) arm(l int) {
+	if !c.armed[l] {
+		c.armed[l] = true
+		c.dirs[l].NotifyTokens(c.wakeFns[l])
+	}
+}
+
+// wake runs when link l's token pool releases: each packet parked on l
+// when it fired gets one send attempt, in parking order. Packets that
+// fail again re-park behind them, on l or on another link, and wait for
+// that pool's next release. No tokens are released during the wave, so
+// a packet larger than every link's free space is bound to fail; it
+// takes the attempt's bookkeeping without probing the links.
+//
+//hmcsim:hotpath
+func (c *Controller) wake(l int) {
+	c.armed[l] = false
+	q := &c.parked[l]
+	free := c.maxTokens()
+	m := q.Len()
+	for ; m > 0 && free > 0; m-- {
+		pkt := q.Pop()
+		if pkt.Flits() > free {
+			c.park(c.nextLink(), pkt)
+			continue
+		}
+		c.sendReq(pkt)
+		free = c.maxTokens()
+	}
+	if m == 0 {
+		return
+	}
+	// Every link is full, so not even a 1-flit packet fits: the rest of
+	// the wave re-parks round-robin from rr without looking at the
+	// packets, and then every link holding packets arms.
+	next := c.rr
+	for ; m > 0; m-- {
+		c.parked[next].Push(q.Pop())
+		if next++; next == len(c.dirs) {
+			next = 0
+		}
+	}
+	c.rr = next
+	for k := range c.parked {
+		if !c.parked[k].Empty() {
+			c.arm(k)
+		}
+	}
+}
+
+// maxTokens returns the largest free space among the request links.
+//
+//hmcsim:hotpath
+func (c *Controller) maxTokens() int {
+	free := 0
+	for _, d := range c.dirs {
+		if t := d.TokensAvailable(); t > free {
+			free = t
+		}
+	}
+	return free
 }
 
 // OnResponse is wired as the cube's response delivery callback.
