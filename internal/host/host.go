@@ -101,9 +101,10 @@ type completer interface {
 // both directions.
 //
 // Packets move through fixed-order stages — the shared packet engine,
-// then the Tx or Rx pipeline — each backed by a ring of in-flight work
-// and a callback bound once at construction, so steady-state request and
-// response processing allocates nothing.
+// then the Tx or Rx pipeline — each a sim.Line whose callback is bound
+// once at construction, so steady-state request and response processing
+// allocates nothing and only the head of each stage waits in the event
+// queue.
 type Controller struct {
 	eng   *sim.Engine
 	cfg   Config
@@ -115,12 +116,9 @@ type Controller struct {
 	dirs     []*link.Dir // dev.ReqDir(l) for every link, cached once
 	rr       int         // link the next send attempt tries first
 
-	jobs     sim.Ring[ctrlJob] // on the packet engine, FIFO by Reserve order
-	engineFn func()
-	txq      sim.Ring[*packet.Packet] // in the Tx pipeline (constant TxLatency)
-	txFn     func()
-	rxq      sim.Ring[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
-	rxFn     func()
+	jobs *sim.Line[ctrlJob]             // on the packet engine, due at each Reserve's end
+	txq  *sim.Line[*packet.Packet]      // in the Tx pipeline (constant TxLatency)
+	rxq  *sim.Line[*packet.Transaction] // in the Rx pipeline (constant RxLatency)
 
 	// parked[l] holds, in arrival order, the requests whose last attempt
 	// found every link full and that wait on link l's token pool (the
@@ -157,9 +155,9 @@ func NewController(eng *sim.Engine, cfg Config, dev Device) *Controller {
 		engine:   sim.NewServer(eng),
 		slotTime: sim.Time(float64(period)/cfg.CtrlFlitSlotsPerCycle + 0.5),
 	}
-	c.engineFn = c.engineDone
-	c.txFn = c.txDone
-	c.rxFn = c.rxDone
+	c.jobs = sim.NewLine(eng, c.engineDone)
+	c.txq = sim.NewLine(eng, c.sendReq)
+	c.rxq = sim.NewLine(eng, c.rxDone)
 	n := dev.Links()
 	c.dirs = make([]*link.Dir, n)
 	c.parked = make([]sim.Ring[*packet.Packet], n)
@@ -193,36 +191,30 @@ func (c *Controller) register(id int, p completer) {
 func (c *Controller) Submit(tr *packet.Transaction) {
 	tr.TPortOut = c.eng.Now()
 	pkt := tr.RequestPacket(tr.Tag)
-	c.jobs.Push(ctrlJob{pkt: pkt})
-	c.engine.Reserve(c.service(pkt), c.engineFn)
+	c.jobs.At(c.engine.Reserve(c.service(pkt), nil), ctrlJob{pkt: pkt})
 }
 
-// engineDone fires when the packet engine finishes its oldest
-// reservation; reservations complete in Reserve order, so the head of
-// the job ring is the packet that just finished processing.
-func (c *Controller) engineDone() {
-	j := c.jobs.Pop()
+// engineDone fires when the packet engine finishes a job. Reservations
+// complete in Reserve order, so the job line is already in due order.
+// A request then enters the Tx pipeline, whose line delivers it to
+// sendReq TxLatency later.
+func (c *Controller) engineDone(j ctrlJob) {
+	now := c.eng.Now()
 	if j.resp {
 		tr := j.pkt.Tr
 		// Only now does the packet leave the link receive buffer; it has
 		// served its purpose, so it goes back to the free list.
 		c.dev.ReleaseResp(j.pkt.Link, j.pkt.Flits())
 		packet.PutPacket(j.pkt)
-		c.rxq.Push(tr)
-		c.eng.Schedule(c.cfg.RxLatency, c.rxFn)
+		c.rxq.At(now+c.cfg.RxLatency, tr)
 		return
 	}
-	c.txq.Push(j.pkt)
-	c.eng.Schedule(c.cfg.TxLatency, c.txFn)
+	c.txq.At(now+c.cfg.TxLatency, j.pkt)
 }
-
-// txDone fires TxLatency after a request finished the packet engine.
-func (c *Controller) txDone() { c.sendReq(c.txq.Pop()) }
 
 // rxDone fires RxLatency after a response left the link buffer: the
 // transaction returns to its issuing port.
-func (c *Controller) rxDone() {
-	tr := c.rxq.Pop()
+func (c *Controller) rxDone(tr *packet.Transaction) {
 	port, ok := c.ports[tr.Port]
 	if !ok {
 		panic(fmt.Sprintf("host: response for unknown port %d", tr.Port))
@@ -343,8 +335,7 @@ func (c *Controller) maxTokens() int {
 func (c *Controller) OnResponse(pkt *packet.Packet) {
 	pkt.Tr.TLinkRx = c.eng.Now()
 	c.respsRecv++
-	c.jobs.Push(ctrlJob{pkt: pkt, resp: true})
-	c.engine.Reserve(c.service(pkt), c.engineFn)
+	c.jobs.At(c.engine.Reserve(c.service(pkt), nil), ctrlJob{pkt: pkt, resp: true})
 }
 
 // RequestsSent returns the number of request packets pushed to links.

@@ -73,6 +73,62 @@ func BenchmarkEngineScheduleFireMix(b *testing.B) {
 	}
 }
 
+// Line backlog shape: the host packet engine on a spread GUPS run holds
+// ~620 jobs, finishing one every few nanoseconds, while near-ring
+// traffic from the rest of the model interleaves with them.
+const (
+	backlogItems = 620
+	lineSpacing  = 3700 // ps between consecutive jobs' due times
+	nearActors   = 16
+)
+
+// newLineBacklog schedules backlogItems items lineSpacing apart, each
+// refilled behind the tail as it fires, through a Line or, with viaAt,
+// through Engine.At as one event per item. It adds nearActors timers
+// rescheduling 0.25–65 ns ahead, the near-ring traffic. Every window
+// (t, t+lineSpacing] with t a multiple of lineSpacing fires exactly one
+// item.
+func newLineBacklog(eng *Engine, viaAt bool) {
+	var tail Time
+	var add func()
+	if viaAt {
+		add = func() { tail += lineSpacing; eng.At(tail, add) }
+	} else {
+		l := NewLine(eng, func(int) { add() })
+		add = func() { tail += lineSpacing; l.At(tail, 0) }
+	}
+	for i := 0; i < backlogItems; i++ {
+		add()
+	}
+	state := uint64(1)
+	for i := 0; i < nearActors; i++ {
+		var t *Timer
+		t = eng.NewTimer(func() {
+			state = state*6364136223846793005 + 1442695040888963407
+			t.After(250 + Time((state>>33)%64_750))
+		})
+		t.After(Time(i) * Nanosecond)
+	}
+}
+
+// BenchmarkLineBacklog measures one backlog item's fire and refill,
+// with the near traffic due meanwhile, through a Line (only its head
+// in the queue) and through Engine.At (the whole backlog in the heap).
+func BenchmarkLineBacklog(b *testing.B) {
+	for _, mode := range []string{"line", "viaAt"} {
+		b.Run(mode, func(b *testing.B) {
+			eng := NewEngine()
+			newLineBacklog(eng, mode == "viaAt")
+			eng.Run(20 * lineSpacing * backlogItems) // 20 turns of the backlog
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Run(eng.Now() + lineSpacing)
+			}
+		})
+	}
+}
+
 // BenchmarkEngineTimerTick measures a self-rescheduling Timer, the
 // pattern the host ports use for their clock ticks: one queue push and
 // one fire per tick, no closure per wakeup.

@@ -14,7 +14,8 @@
 // near-future bucket ring in front of a hand-specialized 4-ary heap; no
 // container/heap, no interface boxing), and components that wake up
 // repeatedly bind their callback once in a Timer instead of allocating a
-// closure per wakeup.
+// closure per wakeup. Fixed-order stages with a long backlog go through a
+// Line, which keeps all but the head item out of the queue.
 package sim
 
 import (
@@ -128,10 +129,15 @@ type nearSlot struct {
 // total order of a single heap. Heap events never migrate to the ring:
 // as now advances, a far event simply competes with the ring at peek.
 //
-// The shape fits the simulator's measured delays. On a spread GUPS run
-// ~82% of pushes are under 65 ns and land in the ring, where they are
-// sparse, while most of the ~730 pending events are the 262 ns–4 µs
-// tail that stays in the heap.
+// The shape fits the simulator's measured delays. About 700 of the ~730
+// events pending on a spread GUPS run are the host controller's
+// fixed-order work: the packet engine's backlog, due up to ~4 µs ahead,
+// and the 300 ns Tx and Rx pipelines. Lines hold those items outside
+// the queue behind one head event per stage, and a head's successor is
+// usually due a few nanoseconds later. So ~97% of the run's ~680k
+// pushes land in the ring, and the queue itself holds ~28 events, ~26
+// of them in the ring and ~2 in the heap. Pending still counts all
+// ~730.
 type Engine struct {
 	near    [nearSlots]nearSlot
 	nearOcc [nearSlots / 64]uint64 // bit s set ⇔ near[s] is non-empty
@@ -141,6 +147,7 @@ type Engine struct {
 	seq     uint64
 	nfired  uint64
 	chanIDs uint64 // channel-ID allocator
+	held    int    // Line items queued behind their line's head event
 
 	// Checkpoint state: every ckEvery fired events Run and Drain call
 	// ckFn, which may observe progress and request an early stop by
@@ -171,9 +178,10 @@ func (e *Engine) AllocChanID() uint64 {
 	return id
 }
 
-// Pending returns the number of scheduled-but-unfired events in both
-// tiers of the queue.
-func (e *Engine) Pending() int { return e.nearN + len(e.pq) }
+// Pending returns the number of scheduled-but-unfired events: those in
+// both tiers of the queue and the Line items waiting behind their
+// line's head.
+func (e *Engine) Pending() int { return e.nearN + len(e.pq) + e.held }
 
 // Schedule runs fn after delay. A negative delay is treated as zero.
 //

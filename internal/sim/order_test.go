@@ -2,12 +2,14 @@ package sim
 
 import "testing"
 
-// Differential order tests for the two-tier event queue. A scripted
-// model schedules ordinary (At) and channel (AtKey with ChanKey) events
-// whose delays straddle every tier boundary, and a shadow list of the
-// pending events checks each firing against a reference: the fired
-// event must be the minimum of everything pending by (at, key), exactly
-// as a single sorted queue would pick it.
+// Differential order tests for the two-tier event queue and Line. A
+// scripted model schedules ordinary (At) and channel (AtKey with
+// ChanKey) events whose delays straddle every tier boundary, and items
+// on three Lines, and a shadow list of the pending events checks each
+// firing against a reference: the fired event must be the minimum of
+// everything pending by (at, key), exactly as a single sorted queue
+// would pick it. A line item's reference key is the ordinary key At
+// would have given it when it was scheduled.
 
 // orderEvent is one scheduled event as the shadow list records it.
 type orderEvent struct {
@@ -32,13 +34,27 @@ type orderModel struct {
 	chanID  [4]uint64
 	fired   int
 
+	lines    [3]*Line[int] // each delivers the id of its item to fire
+	lineTail [3]Time       // due time of each line's last item
+	inLine   int           // the line whose item is firing, -1 if none
+
 	interrupted bool // the checkpoint phase stopped its Run early
+	lineTies    int  // line items due at the same time as their line's tail
+	lineSelf    int  // line items scheduled from their own line's firing
 }
 
 func newOrderModel(t testing.TB, script []byte, budget int) *orderModel {
-	m := &orderModel{t: t, eng: NewEngine(), script: script, budget: budget}
+	m := &orderModel{t: t, eng: NewEngine(), script: script, budget: budget, inLine: -1}
 	for i := range m.chanID {
 		m.chanID[i] = m.eng.AllocChanID()
+	}
+	for i := range m.lines {
+		i := i
+		m.lines[i] = NewLine(m.eng, func(id int) {
+			m.inLine = i
+			m.fire(id)
+			m.inLine = -1
+		})
 	}
 	return m
 }
@@ -78,7 +94,10 @@ func (m *orderModel) delay(b byte) Time {
 	}
 }
 
-// schedule adds one child event, if the budget allows.
+// schedule adds one child event or line item, if the budget allows.
+// A line item is due no earlier than its line's tail: a delay that
+// would put it before the tail puts it at the tail instead, an
+// equal-time tie.
 func (m *orderModel) schedule() {
 	if m.budget == 0 {
 		return
@@ -95,7 +114,21 @@ func (m *orderModel) schedule() {
 		m.eng.At(at, fn)
 		return
 	}
-	c := int(k>>1) % len(m.chanID)
+	c := int(k>>1) % (len(m.chanID) + len(m.lines))
+	if l := c - len(m.chanID); l >= 0 {
+		if at <= m.lineTail[l] && m.lines[l].items.Len() > 0 {
+			at = m.lineTail[l]
+			m.lineTies++
+		}
+		if l == m.inLine {
+			m.lineSelf++
+		}
+		m.lineTail[l] = at
+		m.seqKey++
+		m.pending = append(m.pending, orderEvent{at: at, key: m.seqKey, id: id})
+		m.lines[l].At(at, id)
+		return
+	}
 	m.chanSeq[c]++
 	key := ChanKey(m.chanID[c], m.chanSeq[c])
 	m.pending = append(m.pending, orderEvent{at: at, key: key, id: id})
@@ -209,11 +242,13 @@ func (m *orderModel) play() (bothTiers bool) {
 
 // TestEngineOrderMatchesReference plays many random scripts. At least
 // some of them must stop the first partial Run with events in both
-// tiers and be interrupted at a checkpoint, or the test would not be
-// exercising the peek across tiers and the resume.
+// tiers and be interrupted at a checkpoint, and some line items must
+// tie with their line's tail or be scheduled from their own line's
+// firing, or the test would not be exercising the peek across tiers,
+// the resume and the line refill.
 func TestEngineOrderMatchesReference(t *testing.T) {
 	r := NewRand(12)
-	both, interrupted := 0, 0
+	both, interrupted, ties, self := 0, 0, 0, 0
 	for i := 0; i < 200; i++ {
 		script := make([]byte, 1+r.Intn(256))
 		for j := range script {
@@ -226,6 +261,8 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 		if m.interrupted {
 			interrupted++
 		}
+		ties += m.lineTies
+		self += m.lineSelf
 		if m.fired != m.nextID {
 			t.Fatalf("script %d: fired %d of %d scheduled events", i, m.fired, m.nextID)
 		}
@@ -233,11 +270,15 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 	if both == 0 || interrupted == 0 {
 		t.Fatalf("%d scripts stopped a Run with events in both tiers and %d were interrupted; want some of each", both, interrupted)
 	}
+	if ties == 0 || self == 0 {
+		t.Fatalf("%d line items tied with their tail and %d were scheduled from their own line; want some of each", ties, self)
+	}
 }
 
 // FuzzEngineOrder lets the fuzzer choose the script. The checked-in
 // corpus under testdata/fuzz covers same-instant bursts, the horizon
-// edge, ring-lapping gaps and channel-key ties.
+// edge, ring-lapping gaps, channel-key ties, and line items tied at
+// their line's tail and pushed from inside their own line's firing.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		newOrderModel(t, script, 1000).play()

@@ -4,10 +4,11 @@ package sim
 // the allocation-free backbone of the kernel's pipelines: Push and Pop
 // are O(1) with no copying or shifting, and the backing array is reused
 // forever once it has grown to the high-water mark. The stats-tracking
-// Queue builds on it, and components use it directly to carry in-flight
-// work through fixed-order stages (serializers, constant-latency delay
-// lines) so their completion callbacks can be bound once instead of
-// closing over each item.
+// Queue and Line build on it. Components whose fixed-order stages
+// (serializers, wires, short delay lines) complete within the event
+// queue's near ring use it directly, beside a completion callback bound
+// once that pops the ring, so no closure is made per item. Stages whose
+// backlog would sit in the far heap use a Line instead.
 //
 // The zero value is an empty ring ready for use.
 type Ring[T any] struct {
